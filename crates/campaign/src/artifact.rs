@@ -171,6 +171,23 @@ pub fn run_from_json(v: &Json) -> Result<RunRecord, String> {
 /// reproduces the disk bytes). The resumable control-plane manifest
 /// records the same hashes, making the two indexes cross-checkable.
 pub fn manifest_to_json(result: &CampaignResult) -> Json {
+    let hashes: Vec<u64> = result
+        .records
+        .iter()
+        .map(|r| crate::manifest::fnv1a64(run_to_json(r).render().as_bytes()))
+        .collect();
+    manifest_to_json_hashed(result, &hashes)
+}
+
+/// [`manifest_to_json`] with the chunk hashes supplied by the caller,
+/// one per record in order — for a control plane that already hashed
+/// every chunk it wrote or verified and need not re-encode them.
+pub fn manifest_to_json_hashed(result: &CampaignResult, chunk_hashes: &[u64]) -> Json {
+    assert_eq!(
+        chunk_hashes.len(),
+        result.records.len(),
+        "one chunk hash per record"
+    );
     let (passed, shape_failed, panicked) = result.counts();
     obj(vec![
         ("schema", Json::Str(MANIFEST_SCHEMA.into())),
@@ -194,8 +211,8 @@ pub fn manifest_to_json(result: &CampaignResult) -> Json {
                 result
                     .records
                     .iter()
-                    .map(|r| {
-                        let chunk = run_to_json(r).render();
+                    .zip(chunk_hashes)
+                    .map(|(r, hash)| {
                         obj(vec![
                             ("experiment", Json::Str(r.experiment.clone())),
                             ("title", Json::Str(r.title.clone())),
@@ -205,13 +222,7 @@ pub fn manifest_to_json(result: &CampaignResult) -> Json {
                                 "artifact",
                                 Json::Str(run_artifact_name(&r.experiment, r.seed)),
                             ),
-                            (
-                                "chunk_hash",
-                                Json::Str(format!(
-                                    "{:016x}",
-                                    crate::manifest::fnv1a64(chunk.as_bytes())
-                                )),
-                            ),
+                            ("chunk_hash", Json::Str(format!("{hash:016x}"))),
                             ("wall_ms", Json::Num(r.wall_ms)),
                         ])
                     })
@@ -300,12 +311,18 @@ pub fn canonical_document(result: &CampaignResult) -> String {
 /// Returns the manifest path.
 pub fn write_artifacts(result: &CampaignResult, out: &Path) -> io::Result<PathBuf> {
     std::fs::create_dir_all(out.join("runs"))?;
+    let mut hashes = Vec::with_capacity(result.records.len());
     for r in &result.records {
         let path = out.join(run_artifact_name(&r.experiment, r.seed));
-        std::fs::write(path, run_to_json(r).render())?;
+        let chunk = run_to_json(r).render();
+        std::fs::write(path, &chunk)?;
+        hashes.push(crate::manifest::fnv1a64(chunk.as_bytes()));
     }
     let manifest_path = out.join("manifest.json");
-    std::fs::write(&manifest_path, manifest_to_json(result).render())?;
+    std::fs::write(
+        &manifest_path,
+        manifest_to_json_hashed(result, &hashes).render(),
+    )?;
     Ok(manifest_path)
 }
 
@@ -433,6 +450,23 @@ mod tests {
         let doc = canonical_document(&a);
         assert!(doc.starts_with("=== manifest.json ===\n"));
         assert!(doc.contains("=== runs/fig09-s42.json ===\n"));
+    }
+
+    #[test]
+    fn written_manifest_hashes_the_written_chunks() {
+        let dir = std::env::temp_dir().join(format!(
+            "mmwave-artifact-hashes-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let r = result();
+        let path = write_artifacts(&r, &dir).expect("write");
+        let on_disk = std::fs::read_to_string(&path).expect("manifest");
+        assert_eq!(on_disk, manifest_to_json(&r).render());
+        let chunk = std::fs::read(dir.join(run_artifact_name("fig09", 42))).expect("chunk");
+        let hash = format!("{:016x}", crate::manifest::fnv1a64(&chunk));
+        assert!(on_disk.contains(&hash));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

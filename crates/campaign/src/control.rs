@@ -44,6 +44,7 @@ use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use crate::json::Json;
 use crate::manifest::{self, ChunkEntry, Manifest, ManifestWriter};
 use crate::proto::{self, Msg, WireTask};
 use crate::{artifact, runner, CampaignConfig, CampaignResult, RunRecord, RunStatus, TaskSpec};
@@ -105,8 +106,9 @@ pub fn run_streaming(
 
     // Resume pass: a task is skippable iff the previous manifest matches
     // this matrix and its chunk verifies (invariant 2). Everything else
-    // stays pending.
-    let mut resumed: Vec<((usize, u64), RunRecord)> = Vec::new();
+    // stays pending. Each verified chunk is read once: the bytes that
+    // passed the length and hash check are the bytes that get decoded.
+    let mut resumed: Vec<Keyed> = Vec::new();
     let mut carried: Vec<ChunkEntry> = Vec::new();
     let mut pending: Vec<TaskSpec> = Vec::new();
     let previous = if opts.resume {
@@ -118,21 +120,20 @@ pub fn run_streaming(
         let entry = previous
             .as_ref()
             .and_then(|m| m.entry(task.exp.id, task.seed))
-            .filter(|e| e.rel_path == artifact::run_artifact_name(task.exp.id, task.seed))
-            .filter(|e| e.verify(out));
+            .filter(|e| e.rel_path == artifact::run_artifact_name(task.exp.id, task.seed));
         // Hash-clean bytes can still fail to decode (e.g. a chunk from an
         // older schema whose manifest somehow fingerprint-matched); that
         // also degrades to re-execution.
         let record = entry.and_then(|e| {
-            let text = std::fs::read_to_string(out.join(&e.rel_path)).ok()?;
-            let parsed = crate::json::Json::parse(&text).ok()?;
+            let bytes = e.read_verified(out)?;
+            let parsed = Json::parse(std::str::from_utf8(&bytes).ok()?).ok()?;
             let rec = artifact::run_from_json(&parsed).ok()?;
             Some((e.clone(), rec))
         });
         match record {
             Some((entry, rec)) => {
+                resumed.push(((task.exp_index, task.seed), rec, entry.hash));
                 carried.push(entry);
-                resumed.push(((task.exp_index, task.seed), rec));
             }
             None => pending.push(task),
         }
@@ -144,7 +145,7 @@ pub fn run_streaming(
     let mut ledger = ManifestWriter::create(out, fp, &carried)?;
 
     let jobs = cfg.effective_jobs().min(pending.len()).max(1);
-    let mut executed: Vec<((usize, u64), RunRecord)> = Vec::with_capacity(pending.len());
+    let mut executed: Vec<Keyed> = Vec::with_capacity(pending.len());
     let expected = pending.len();
     let mut chunks_streamed: u64 = 0;
 
@@ -155,19 +156,23 @@ pub fn run_streaming(
             let rel = artifact::run_artifact_name(&record.experiment, record.seed);
             let chunk = artifact::run_to_json(&record).render();
             std::fs::write(out.join(&rel), &chunk)?;
+            let hash = manifest::fnv1a64(chunk.as_bytes());
             ledger.append(&ChunkEntry {
-                hash: manifest::fnv1a64(chunk.as_bytes()),
+                hash,
                 len: chunk.len() as u64,
                 experiment: record.experiment.clone(),
                 seed: record.seed,
                 rel_path: rel,
             })?;
             chunks_streamed += 1;
-            executed.push((key, record));
+            executed.push((key, record, hash));
             Ok(())
         };
 
-    if opts.workers == 0 {
+    if pending.is_empty() {
+        // A clean resume: nothing to dispatch, so no thread pool, no worker
+        // drivers and no codebook prebuild.
+    } else if opts.workers == 0 {
         let pool = runner::ThreadPool::spawn(pending, jobs);
         for (key, record) in pool.records.iter() {
             stream_record(key, record, &mut ledger)?;
@@ -211,10 +216,11 @@ pub fn run_streaming(
     let executed_keys: Vec<(String, u64)> = sorted_keys(&executed);
     let mut keyed = resumed;
     keyed.extend(executed);
-    keyed.sort_by_key(|(key, _)| *key);
+    keyed.sort_by_key(|(key, _, _)| *key);
+    let chunk_hashes: Vec<u64> = keyed.iter().map(|(_, _, hash)| *hash).collect();
 
     let result = CampaignResult {
-        records: keyed.into_iter().map(|(_, r)| r).collect(),
+        records: keyed.into_iter().map(|(_, r, _)| r).collect(),
         seeds: cfg.seeds.clone(),
         quick: cfg.quick,
         jobs,
@@ -224,7 +230,12 @@ pub fn run_streaming(
         wall_ms: t0.elapsed().as_secs_f64() * 1e3,
     };
     let manifest_path = out.join("manifest.json");
-    std::fs::write(&manifest_path, artifact::manifest_to_json(&result).render())?;
+    // Every chunk hash is already known (ledger entry or freshly streamed
+    // chunk), so the summary need not re-encode the records to hash them.
+    std::fs::write(
+        &manifest_path,
+        artifact::manifest_to_json_hashed(&result, &chunk_hashes).render(),
+    )?;
     Ok(ControlSummary {
         result,
         manifest_path,
@@ -233,12 +244,16 @@ pub fn run_streaming(
     })
 }
 
-fn sorted_keys(records: &[((usize, u64), RunRecord)]) -> Vec<(String, u64)> {
+/// A finished matrix cell: its `(exp_index, seed)` key, its record and
+/// the FNV-1a 64 hash of its chunk bytes.
+type Keyed = ((usize, u64), RunRecord, u64);
+
+fn sorted_keys(records: &[Keyed]) -> Vec<(String, u64)> {
     let mut keyed: Vec<_> = records.iter().collect();
-    keyed.sort_by_key(|(key, _)| *key);
+    keyed.sort_by_key(|(key, _, _)| *key);
     keyed
         .into_iter()
-        .map(|(_, r)| (r.experiment.clone(), r.seed))
+        .map(|(_, r, _)| (r.experiment.clone(), r.seed))
         .collect()
 }
 

@@ -143,8 +143,10 @@ impl Json {
     /// surrounding whitespace).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -214,9 +216,16 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`Json::parse`] accepts. Artifacts nest
+/// three levels; the cap turns a pathological input (say, a megabyte of
+/// `[`) into an error instead of a stack overflow.
+const MAX_DEPTH: usize = 256;
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -261,12 +270,22 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(c) => Err(self.err(&format!("unexpected character '{}'", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Json, JsonError>) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -351,13 +370,19 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one full UTF-8 character.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let c = s.chars().next().expect("non-empty by peek");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Consume the whole run of unescaped bytes up to the
+                    // next '"' or '\\' in one step. The string opened, and
+                    // every escape ends, on an ASCII byte, and both
+                    // delimiters are ASCII, so the run starts and ends on
+                    // char boundaries and can be sliced straight from the
+                    // (already valid) input.
+                    let start = self.pos;
+                    let run = self.bytes[start..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |n| start + n);
+                    out.push_str(&self.text[start..run]);
+                    self.pos = run;
                 }
             }
         }
@@ -434,10 +459,20 @@ impl<'a> Parser<'a> {
                 return Ok(Json::Int(n));
             }
         }
-        text.parse::<f64>().map(Json::Num).map_err(|_| JsonError {
-            offset: start,
-            message: "malformed number".into(),
-        })
+        // A literal that overflows f64 (say `1e999`) would decode to a
+        // non-finite value the encoder writes as `null`; reject it so
+        // every parsed number re-renders as itself.
+        match text.parse::<f64>() {
+            Ok(v) if v.is_finite() => Ok(Json::Num(v)),
+            Ok(_) => Err(JsonError {
+                offset: start,
+                message: "number out of range".into(),
+            }),
+            Err(_) => Err(JsonError {
+                offset: start,
+                message: "malformed number".into(),
+            }),
+        }
     }
 }
 
@@ -513,6 +548,70 @@ mod tests {
         assert!(Json::parse("\"unterminated").is_err());
         assert!(Json::parse("{\"a\":1} extra").is_err());
         assert!(Json::parse("nul").is_err());
+        let e = Json::parse("[1, -1e999]").expect_err("overflows f64");
+        assert_eq!((e.offset, e.message.as_str()), (4, "number out of range"));
+    }
+
+    #[test]
+    fn multibyte_strings_roundtrip() {
+        for s in [
+            "µs",
+            "—",
+            "23.5 °",
+            "😀",
+            "中文字符串",
+            "µ\"°\\😀\n—",
+            "\"µs\"",
+            "\\中\\",
+            "\t—\u{1}°\r",
+            "ascii then µ then 😀😀 then 中",
+        ] {
+            let text = Json::Str(s.into()).render();
+            assert_eq!(Json::parse(&text), Ok(Json::Str(s.into())), "{text}");
+        }
+        // Escapes, including \u ones, directly against multibyte runs.
+        let v = Json::parse(r#""µ\"°\u00b5😀\\中\ud83d\ude00—\n""#).expect("parses");
+        assert_eq!(v, Json::Str("µ\"°µ😀\\中😀—\n".into()));
+    }
+
+    #[test]
+    fn error_offsets_are_exact() {
+        let offset = |text: &str| Json::parse(text).expect_err("malformed").offset;
+        // Unterminated strings fail at end of input, past any multibyte run.
+        assert_eq!(offset("\"unterminated"), 13);
+        assert_eq!(offset("{\"k\": \"µs —"), 14);
+        // A bad escape fails on the byte after the backslash.
+        assert_eq!(offset(r#""ab\x""#), 4);
+        assert_eq!(offset(r#""µ\q""#), 4);
+        assert_eq!(offset("\"\\µ\""), 2);
+        // A truncated \u escape fails where the hex digits run out.
+        assert_eq!(offset(r#""\u12"#), 5);
+        assert_eq!(offset(r#""°\u"#), 5);
+        assert_eq!(offset(r#""\u12zz""#), 5);
+    }
+
+    #[test]
+    fn multi_megabyte_string_roundtrips() {
+        // One `output` field of several MB, mixing long unescaped runs with
+        // escapes and multibyte characters. A parser that rescans the rest
+        // of the input per character never finishes this.
+        let mut s = String::new();
+        while s.len() < 4 << 20 {
+            s.push_str("row µs=12.5 — 23° \"quoted\" 😀 中文\n\tcol\\");
+        }
+        let v = obj(vec![("output", Json::Str(s))]);
+        let text = v.render();
+        assert!(text.len() > 4 << 20);
+        assert_eq!(Json::parse(&text), Ok(v));
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(1 << 20);
+        let e = Json::parse(&deep).expect_err("too deep");
+        assert_eq!(e.offset, MAX_DEPTH);
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&ok).is_ok());
     }
 
     #[test]

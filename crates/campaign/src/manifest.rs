@@ -125,13 +125,18 @@ impl ChunkEntry {
         })
     }
 
+    /// The chunk file's bytes under `out`, if it exists and matches this
+    /// entry's recorded length and hash. One read serves both the check
+    /// and the caller that goes on to decode the chunk.
+    pub fn read_verified(&self, out: &Path) -> Option<Vec<u8>> {
+        let bytes = std::fs::read(out.join(&self.rel_path)).ok()?;
+        (bytes.len() as u64 == self.len && fnv1a64(&bytes) == self.hash).then_some(bytes)
+    }
+
     /// True if the chunk file under `out` exists and matches this entry's
     /// recorded length and hash.
     pub fn verify(&self, out: &Path) -> bool {
-        let Ok(bytes) = std::fs::read(out.join(&self.rel_path)) else {
-            return false;
-        };
-        bytes.len() as u64 == self.len && fnv1a64(&bytes) == self.hash
+        self.read_verified(out).is_some()
     }
 }
 
@@ -333,6 +338,37 @@ mod tests {
         assert!(e.verify(&dir));
         std::fs::write(dir.join(&e.rel_path), b"{\n  \"k\": 2\n}\n").expect("corrupt");
         assert!(!e.verify(&dir), "corrupted chunk must not verify");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn read_verified_returns_exact_bytes_only_when_clean() {
+        let dir = tmpdir("read-verified");
+        std::fs::create_dir_all(dir.join("runs")).expect("mkdir");
+        let body = b"{\n  \"k\": \"\xc2\xb5s\"\n}\n";
+        let e = ChunkEntry {
+            hash: fnv1a64(body),
+            len: body.len() as u64,
+            experiment: "fig09".into(),
+            seed: 1,
+            rel_path: "runs/fig09-s1.json".into(),
+        };
+        assert_eq!(e.read_verified(&dir), None, "missing chunk");
+        std::fs::write(dir.join(&e.rel_path), body).expect("write chunk");
+        assert_eq!(e.read_verified(&dir).as_deref(), Some(&body[..]));
+        let short = ChunkEntry {
+            len: e.len - 1,
+            ..e.clone()
+        };
+        assert_eq!(short.read_verified(&dir), None, "length mismatch");
+        let rehashed = ChunkEntry {
+            hash: e.hash ^ 1,
+            ..e.clone()
+        };
+        assert_eq!(rehashed.read_verified(&dir), None, "hash mismatch");
+        // Same length, different bytes: only the hash can catch it.
+        std::fs::write(dir.join(&e.rel_path), b"{\n  \"k\": \"xxx\"\n}\n").expect("corrupt");
+        assert_eq!(e.read_verified(&dir), None, "corrupted chunk");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -8,7 +8,7 @@
 //!    (modulo execution metadata, which is honest about what happened:
 //!    `tasks_resumed` counts the skips).
 
-use mmwave_campaign::control::{self, ControlOpts};
+use mmwave_campaign::control::{self, ControlOpts, ControlSummary};
 use mmwave_campaign::{artifact, manifest, CampaignConfig};
 use mmwave_core::experiments;
 use std::collections::BTreeMap;
@@ -59,6 +59,18 @@ fn canonical_tree(out: &Path) -> BTreeMap<String, String> {
     files
 }
 
+/// The summary `manifest.json` on disk takes its `chunk_hash` lines from
+/// the ledger (resumed cells) and the streamed chunks (executed cells).
+/// They must equal what re-encoding every record gives, byte for byte.
+fn assert_summary_matches_reencoded(summary: &ControlSummary) {
+    let on_disk = std::fs::read_to_string(&summary.manifest_path).expect("manifest.json");
+    assert_eq!(
+        on_disk,
+        artifact::manifest_to_json(&summary.result).render(),
+        "summary manifest must equal the re-encoded one"
+    );
+}
+
 #[test]
 fn resume_reexecutes_only_damaged_tasks_and_converges_bytewise() {
     let fresh_dir = tmp_dir("fresh");
@@ -70,19 +82,34 @@ fn resume_reexecutes_only_damaged_tasks_and_converges_bytewise() {
         control::run_streaming(&cfg(), &fresh_dir, &opts).expect("fresh reference campaign");
     assert!(fresh.result.all_passed());
     assert_eq!(fresh.result.chunks_streamed, 8);
+    assert_summary_matches_reencoded(&fresh);
     let want = canonical_tree(&fresh_dir);
 
     // Victim: same campaign, then three independent kinds of damage.
     let first = control::run_streaming(&cfg(), &damaged_dir, &opts).expect("victim campaign");
     assert!(first.result.all_passed());
+    assert_summary_matches_reencoded(&first);
+
+    // The torn ledger entry is whichever task finished last, which
+    // depends on thread scheduling; pick it first, then aim the other
+    // two kinds of damage at different tasks.
+    let ledger_path = damaged_dir.join(manifest::MANIFEST_FILE_NAME);
+    let ledger = std::fs::read_to_string(&ledger_path).expect("read ledger");
+    let last_line = ledger.lines().last().expect("nonempty ledger");
+    let torn = manifest::ChunkEntry::parse(&format!("{last_line}\n")).expect("parseable tail");
+    let torn_key = (torn.experiment.clone(), torn.seed);
+    let mut targets = [("table1", 2u64), ("fig08", 1), ("fig15", 2)]
+        .into_iter()
+        .map(|(id, seed)| (id.to_string(), seed))
+        .filter(|key| *key != torn_key);
 
     // (a) one chunk deleted outright,
-    let deleted = ("table1".to_string(), 2u64);
+    let deleted = targets.next().expect("a delete target");
     std::fs::remove_file(damaged_dir.join(artifact::run_artifact_name(&deleted.0, deleted.1)))
         .expect("delete chunk");
 
     // (b) one chunk corrupted in place (hash must catch it),
-    let corrupted = ("fig08".to_string(), 1u64);
+    let corrupted = targets.next().expect("a corrupt target");
     let victim_path = damaged_dir.join(artifact::run_artifact_name(&corrupted.0, corrupted.1));
     let mut bytes = std::fs::read(&victim_path).expect("read chunk");
     let mid = bytes.len() / 2;
@@ -92,16 +119,11 @@ fn resume_reexecutes_only_damaged_tasks_and_converges_bytewise() {
     // (c) the ledger truncated mid-entry, as if the process died inside an
     // append. The half-written line names a real completed task: that
     // task loses its ledger entry and must re-execute.
-    let ledger_path = damaged_dir.join(manifest::MANIFEST_FILE_NAME);
-    let ledger = std::fs::read_to_string(&ledger_path).expect("read ledger");
-    let last_line = ledger.lines().last().expect("nonempty ledger");
-    let torn = manifest::ChunkEntry::parse(&format!("{last_line}\n")).expect("parseable tail");
     std::fs::write(
         &ledger_path,
         &ledger[..ledger.len() - last_line.len() / 2 - 1],
     )
     .expect("tear ledger");
-    let torn_key = (torn.experiment.clone(), torn.seed);
     assert_ne!(torn_key, deleted, "damage must hit three distinct tasks");
     assert_ne!(torn_key, corrupted, "damage must hit three distinct tasks");
 
@@ -127,6 +149,7 @@ fn resume_reexecutes_only_damaged_tasks_and_converges_bytewise() {
     );
     assert_eq!(resumed.result.tasks_resumed, 5);
     assert_eq!(resumed.result.chunks_streamed, 3);
+    assert_summary_matches_reencoded(&resumed);
 
     // And the repaired tree is byte-identical to the fresh one.
     assert_eq!(canonical_tree(&damaged_dir), want);
@@ -141,6 +164,7 @@ fn resume_with_clean_artifacts_executes_nothing() {
     let opts = ControlOpts::default();
     let first = control::run_streaming(&cfg(), &dir, &opts).expect("first run");
     assert!(first.result.all_passed());
+    assert_summary_matches_reencoded(&first);
     let want = canonical_tree(&dir);
 
     let resumed = control::run_streaming(
@@ -154,6 +178,7 @@ fn resume_with_clean_artifacts_executes_nothing() {
     .expect("clean resume");
     assert!(resumed.executed.is_empty(), "nothing was damaged");
     assert_eq!(resumed.resumed.len(), 8);
+    assert_summary_matches_reencoded(&resumed);
     assert_eq!(canonical_tree(&dir), want);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -177,6 +202,7 @@ fn resume_ignores_manifests_from_a_different_matrix() {
         },
     )
     .expect("mismatched resume");
+    assert_summary_matches_reencoded(&resumed);
     assert!(
         resumed.resumed.is_empty(),
         "fingerprint mismatch resumes nothing"

@@ -46,6 +46,18 @@ cargo test -q --release -p mmwave-campaign --test worker_protocol
 cargo test -q --release -p mmwave-campaign --test resume
 cargo test -q --release -p mmwave-campaign --test process_equivalence
 
+echo "==> decoder mutation suite"
+# SimRng-driven byte flips, truncations and splices of a chunk and the
+# golden artifact: Json::parse and run_from_json must reject garbage with
+# an error, never a panic, and the unmutated seeds must round-trip.
+cargo test -q --release -p mmwave-campaign --test decoder_mutation
+
+echo "==> campaign benchmark self-tests"
+# campbench is its own workspace, so the workspace test run above skips
+# it: quartile/name/unit checks plus a smoke run of every workload that
+# checks the emitted metrics against BENCHMARK.json.
+cargo test -q --offline --manifest-path campbench/Cargo.toml
+
 echo "==> SoA kernel equivalence suites"
 # Every SoA/chunked hot path must reproduce its retained scalar
 # reference bit-for-bit: pattern synthesis (basis + buffer-reuse +
