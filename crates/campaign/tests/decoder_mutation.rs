@@ -99,7 +99,7 @@ fn unmutated_seeds_roundtrip() {
     assert_eq!(artifact::run_to_json(&record).render(), chunk);
 
     let sections = golden_sections();
-    assert_eq!(sections.len(), 11, "manifest + 10 run chunks");
+    assert_eq!(sections.len(), 15, "manifest + 14 run chunks");
     for (name, body) in &sections {
         let parsed = Json::parse(body).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(&parsed.render(), body, "{name} must re-render exactly");

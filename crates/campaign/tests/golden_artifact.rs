@@ -25,15 +25,24 @@ use std::path::PathBuf;
 const GOLDEN_REL: &str = "tests/golden/campaign_quick.txt";
 
 /// The frozen matrix: cheap experiments spanning a static protocol trace
-/// (table1, fig03), the WiHD system (fig15), a dynamic fault scenario
+/// (table1, fig03), the WiHD system (fig15), the semicircle beam-pattern
+/// scans (fig16 quasi-omni, fig17 directional), a dynamic fault scenario
 /// (dynblock, which exercises the scenario/fault engine counters) and the
 /// dense multi-room floor (enterprise, which exercises the spatial
 /// interference graph and its prune counters).
 fn subset() -> Vec<&'static experiments::Experiment> {
-    ["table1", "fig03", "fig15", "dynblock", "enterprise"]
-        .iter()
-        .map(|id| experiments::find(id).expect("registered"))
-        .collect()
+    [
+        "table1",
+        "fig03",
+        "fig15",
+        "fig16",
+        "fig17",
+        "dynblock",
+        "enterprise",
+    ]
+    .iter()
+    .map(|id| experiments::find(id).expect("registered"))
+    .collect()
 }
 
 /// Render the full normalized artifact set as one diffable document.
