@@ -50,7 +50,7 @@ use crate::proto::{self, Msg, WireTask};
 use crate::{artifact, runner, CampaignConfig, CampaignResult, RunRecord, RunStatus, TaskSpec};
 
 /// Execution knobs for the streaming control plane.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ControlOpts {
     /// Worker *processes* to shard across. `0` keeps the datapath
     /// in-process (the `cfg.jobs` thread pool) while still streaming
@@ -63,16 +63,6 @@ pub struct ControlOpts {
     /// executable with the single argument `worker`" — what the `campaign`
     /// CLI wants. Tests point it at `env!("CARGO_BIN_EXE_campaign")`.
     pub worker_cmd: Vec<String>,
-}
-
-impl Default for ControlOpts {
-    fn default() -> Self {
-        ControlOpts {
-            workers: 0,
-            resume: false,
-            worker_cmd: Vec::new(),
-        }
-    }
 }
 
 /// What a streaming campaign did, beyond the [`CampaignResult`] itself.

@@ -210,7 +210,7 @@ impl ManifestWriter {
     pub fn create(out: &Path, fingerprint: u64, carried: &[ChunkEntry]) -> io::Result<Self> {
         let path = out.join(MANIFEST_FILE_NAME);
         let mut file = BufWriter::new(std::fs::File::create(&path)?);
-        write!(file, "{MANIFEST_FILE_SCHEMA} fp {fingerprint:016x}\n")?;
+        writeln!(file, "{MANIFEST_FILE_SCHEMA} fp {fingerprint:016x}")?;
         for e in carried {
             file.write_all(e.render().as_bytes())?;
         }

@@ -126,16 +126,16 @@ impl WireTask {
             quick: field("quick")?.as_bool().ok_or("quick must be a bool")?,
             cache_mode: field("cache_mode")?
                 .as_str()
-                .and_then(CacheMode::from_str)
+                .and_then(CacheMode::parse)
                 .ok_or("cache_mode must be cached|bypass")?,
             cc: opt_str("cc")?
                 .map(|s| {
-                    mmwave_transport::CcKind::from_str(s).ok_or_else(|| format!("unknown cc '{s}'"))
+                    mmwave_transport::CcKind::parse(s).ok_or_else(|| format!("unknown cc '{s}'"))
                 })
                 .transpose()?,
             prune: opt_str("prune")?
                 .map(|s| {
-                    mmwave_channel::PruneMode::from_str(s)
+                    mmwave_channel::PruneMode::parse(s)
                         .ok_or_else(|| format!("unknown prune mode '{s}'"))
                 })
                 .transpose()?,

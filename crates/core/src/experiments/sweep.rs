@@ -114,9 +114,10 @@ fn run_point(ctx: &SimCtx, seed: u64, pace_bps: Option<u64>, window: u64, secs: 
 /// equals the merge a hit would have applied — artifact counters are
 /// identical either way.
 pub fn collect(ctx: &SimCtx, quick: bool, seed: u64) -> Vec<PointData> {
+    type Sweep = (Vec<PointData>, EngineCounters);
     #[derive(Default)]
     struct SweepCache {
-        map: RefCell<HashMap<(bool, u64), (Vec<PointData>, EngineCounters)>>,
+        map: RefCell<HashMap<(bool, u64), Sweep>>,
     }
     let cache = ctx.ext_or_insert_with(SweepCache::default);
     if let Some((v, counters)) = cache.map.borrow().get(&(quick, seed)) {

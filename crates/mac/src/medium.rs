@@ -303,12 +303,8 @@ impl Medium {
             _ => None,
         };
         if let Some(coupled) = coupled {
-            for d in 0..devices.len() {
-                power_at.push(if d == src {
-                    -300.0
-                } else {
-                    -300.0 + link_offsets[d]
-                });
+            for (d, &offset) in link_offsets[..devices.len()].iter().enumerate() {
+                power_at.push(if d == src { -300.0 } else { -300.0 + offset });
             }
             for &d in &coupled {
                 power_at[d] = self.rx_power_dbm(env, devices, src, pattern, d, extra_power_db)

@@ -639,14 +639,10 @@ impl Net {
                 }
             }
             for d in &self.devices {
-                if room.zone_of(d.node.position).is_none() {
-                    return None;
-                }
+                room.zone_of(d.node.position)?;
             }
             for m in &self.monitors {
-                if room.zone_of(m.node.position).is_none() {
-                    return None;
-                }
+                room.zone_of(m.node.position)?;
             }
             Some(affected)
         })();

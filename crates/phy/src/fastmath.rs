@@ -253,7 +253,7 @@ fn log_inner(x: f64) -> f64 {
 #[inline(always)]
 pub fn log10_raw(x: f64) -> f64 {
     let ix = x.to_bits();
-    if !(x > 0.0) || ix >= 0x7ff0000000000000 {
+    if x.is_nan() || x <= 0.0 || ix >= 0x7ff0000000000000 {
         return x.log10();
     }
     let mut k: i64 = 0;
@@ -496,8 +496,7 @@ pub fn log10_slice(xs: &[f64], out: &mut [f64]) {
     while k + LANES <= n {
         let x = &xs[k..k + LANES];
         let mut fb = false;
-        for j in 0..LANES {
-            let v = x[j];
+        for &v in x {
             let ok = (v >= f64::from_bits(0x0010000000000000)) & (v < f64::INFINITY);
             fb |= !(ok | (v == 0.0));
         }
@@ -652,8 +651,7 @@ pub fn pattern_db_slice(
         }
         // Log10 fallback scan over the normalized powers.
         let mut lfb = false;
-        for j in 0..LANES {
-            let v = pw[j];
+        for &v in &pw {
             let ok = (v >= f64::from_bits(0x0010000000000000)) & (v < f64::INFINITY);
             lfb |= !(ok | (v == 0.0));
         }
@@ -814,8 +812,8 @@ mod tests {
                     b[j]
                 );
             }
-            for j in 0..n {
-                a[j] = match round % 3 {
+            for aj in a.iter_mut() {
+                *aj = match round % 3 {
                     // af_power domain including exact zeros.
                     0 => (next() & 0xffff) as f64 * 1.25e-4,
                     // Dense near-1 (both __log paths).

@@ -54,7 +54,7 @@ impl CacheMode {
     }
 
     /// Inverse of [`CacheMode::as_str`].
-    pub fn from_str(s: &str) -> Option<CacheMode> {
+    pub fn parse(s: &str) -> Option<CacheMode> {
         match s {
             "cached" => Some(CacheMode::Cached),
             "bypass" => Some(CacheMode::Bypass),

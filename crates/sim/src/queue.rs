@@ -307,7 +307,7 @@ impl<E> TimerWheel<E> {
                 // keeps a reusable allocation, the stage gets the entries.
                 std::mem::swap(&mut self.stage, &mut self.slots[idx]);
                 self.stage
-                    .sort_unstable_by(|a, b| (b.at, b.seq).cmp(&(a.at, a.seq)));
+                    .sort_unstable_by_key(|e| std::cmp::Reverse((e.at, e.seq)));
             } else {
                 // Cascade: re-bucket against the advanced cursor. Entries
                 // land strictly below `level` (their timestamps now agree
