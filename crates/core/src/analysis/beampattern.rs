@@ -6,7 +6,7 @@
 //! the transmit pattern. Here the replay pipeline computes exactly that,
 //! against whatever the DUT actually transmitted during the campaign.
 
-use crate::replay::{mean_data_power_dbm, TapConfig};
+use crate::replay::{TapConfig, TxGroups};
 use mmwave_capture::scan::ScanPoint;
 use mmwave_geom::{arc, Angle};
 use mmwave_mac::Net;
@@ -26,22 +26,10 @@ pub fn measure_pattern(
     from: SimTime,
     to: SimTime,
 ) -> Vec<ScanPoint> {
-    let dut_pos = net.device(dut).node.position;
-    arc(n, Angle::from_degrees(-90.0), Angle::from_degrees(90.0))
-        .into_iter()
-        .map(|rel| {
-            let world = facing + rel;
-            let pos = dut_pos + world.unit() * radius;
-            // Horn points back at the DUT.
-            let look = Angle::from_radians((dut_pos - pos).angle());
-            let tap = TapConfig::horn(pos, look);
-            let power = mean_data_power_dbm(net, &tap, dut, from, to).unwrap_or(-120.0);
-            ScanPoint {
-                angle: rel,
-                power_dbm: power,
-            }
-        })
-        .collect()
+    let frames = TxGroups::data_frames(net, dut, from, to);
+    semicircle(net, dut, facing, radius, n, |tap| {
+        frames.mean_recorded_dbm(tap).unwrap_or(-120.0)
+    })
 }
 
 /// Measure one sub-element of the discovery sweep: average the incident
@@ -59,35 +47,51 @@ pub fn measure_discovery_pattern(
     from: SimTime,
     to: SimTime,
 ) -> Vec<ScanPoint> {
-    let dut_pos = net.device(dut).node.position;
-    let entries: Vec<&mmwave_mac::TxLogEntry> = net
-        .txlog()
-        .in_window(from, to)
-        .filter(|e| {
+    let frames = TxGroups::new(
+        net,
+        net.txlog().in_window(from, to).filter(|e| {
             e.src == dut
                 && e.class == mmwave_mac::FrameClass::DiscoverySub
                 && e.pattern == mmwave_mac::PatKey::Qo(sub_idx)
-        })
-        .collect();
+        }),
+    );
+    semicircle(net, dut, facing, radius, n, |tap| {
+        if frames.is_empty() {
+            return -120.0;
+        }
+        let lin: Vec<f64> = frames
+            .incident_dbm(tap)
+            .into_iter()
+            .map(db_to_lin)
+            .collect();
+        let sum: f64 = frames.frames().map(|(_, g)| lin[g]).sum();
+        lin_to_db(sum / frames.len() as f64)
+    })
+}
+
+/// Scan `n` positions on a semicircle of `radius` around the DUT, the horn
+/// pointing back at it, and record `power` at each. One horn serves the
+/// whole scan: only the tap's pose changes between positions.
+fn semicircle(
+    net: &Net,
+    dut: usize,
+    facing: Angle,
+    radius: f64,
+    n: usize,
+    power: impl Fn(&TapConfig) -> f64,
+) -> Vec<ScanPoint> {
+    let dut_pos = net.device(dut).node.position;
+    let mut tap = TapConfig::horn(dut_pos, facing);
     arc(n, Angle::from_degrees(-90.0), Angle::from_degrees(90.0))
         .into_iter()
         .map(|rel| {
             let world = facing + rel;
-            let pos = dut_pos + world.unit() * radius;
-            let look = Angle::from_radians((dut_pos - pos).angle());
-            let tap = TapConfig::horn(pos, look);
-            let power = if entries.is_empty() {
-                -120.0
-            } else {
-                let lin: f64 = entries
-                    .iter()
-                    .map(|e| db_to_lin(crate::replay::incident_power_dbm(net, &tap, e)))
-                    .sum();
-                lin_to_db(lin / entries.len() as f64)
-            };
+            tap.position = dut_pos + world.unit() * radius;
+            // Horn points back at the DUT.
+            tap.orientation = Angle::from_radians((dut_pos - tap.position).angle());
             ScanPoint {
                 angle: rel,
-                power_dbm: power,
+                power_dbm: power(&tap),
             }
         })
         .collect()

@@ -6,6 +6,7 @@
 //! link*, the profile mixes both link directions weighted by their
 //! airtime, exactly as the paper's dwell-and-average procedure does.
 
+use crate::replay::TxGroups;
 use mmwave_capture::scan::{angular_profile, AngularProfile};
 use mmwave_geom::{Angle, Point};
 use mmwave_mac::Net;
@@ -16,11 +17,12 @@ use mmwave_sim::time::SimTime;
 /// directions, the airtime-weighted average incident power of every
 /// logged transmission in the window.
 ///
-/// Implementation note: the log is first collapsed into per
-/// `(source, pattern)` contributions — for each, the ray trace and the
-/// transmit-side gains are computed once, and only the horn's receive
-/// gain varies with the look direction. This keeps the 6-probe ×
-/// 120-direction scans of Figs. 18/19 fast.
+/// Implementation note: the log is first collapsed into the replay's
+/// transmit-configuration groups ([`TxGroups`]: source, logged pose,
+/// pattern, control boost) — for each, the ray trace (shared by groups
+/// at one position) and the transmit-side gains are computed once, and
+/// only the horn's receive gain varies with the look direction. This
+/// keeps the 6-probe × 120-direction scans of Figs. 18/19 fast.
 pub fn measure_profile(
     net: &Net,
     probe: Point,
@@ -28,41 +30,29 @@ pub fn measure_profile(
     from: SimTime,
     to: SimTime,
 ) -> AngularProfile {
-    use std::collections::HashMap;
-    // Airtime per (src, pattern) combination.
-    let mut airtime: HashMap<(usize, mmwave_mac::PatKey), f64> = HashMap::new();
-    let mut extra: HashMap<(usize, mmwave_mac::PatKey), f64> = HashMap::new();
-    for e in net.txlog().in_window(from, to) {
-        *airtime.entry((e.src, e.pattern)).or_insert(0.0) += (e.end - e.start).as_secs_f64();
-        // Control-class frames carry the boost; a (src, pattern) combo is
-        // only ever used by one class in practice, so last-write wins.
-        let boost = match e.class {
-            mmwave_mac::FrameClass::Beacon
-            | mmwave_mac::FrameClass::DiscoverySub
-            | mmwave_mac::FrameClass::WihdBeacon
-            | mmwave_mac::FrameClass::Training => net.config().control_power_offset_db,
-            _ => 0.0,
-        };
-        extra.insert((e.src, e.pattern), boost);
+    let frames = TxGroups::new(net, net.txlog().in_window(from, to));
+    // Airtime per group, summed in log order.
+    let mut airtime = vec![0.0; frames.groups().len()];
+    for (e, g) in frames.frames() {
+        airtime[g] += (e.end - e.start).as_secs_f64();
     }
-    let total_time: f64 = airtime.values().sum();
-    // Per combination: (arrival azimuth, linear power *without* the horn
-    // gain) for every path, scaled by the combo's airtime share.
+    let total_time: f64 = airtime.iter().sum();
+    // Per group: (arrival azimuth, linear power *without* the horn gain)
+    // for every path, scaled by the group's airtime share.
     let mut components: Vec<(Angle, f64)> = Vec::new();
     let horn = mmwave_phy::horn_25dbi();
-    for (&(src, pat), &t) in &airtime {
-        let dev = net.device(src);
-        let paths = net.env.paths(dev.node.position, probe);
-        let tx_pattern = dev.pattern(pat);
-        for path in &paths {
-            let ga = dev.node.gain_toward(tx_pattern, path.departure);
-            let dbm = net.env.budget.rx_power_dbm(ga, 0.0, path)
-                + dev.tx_power_offset_db
-                + extra[&(src, pat)]
-                - net.env.extra_loss_db;
+    frames.trace_to(probe, |i, g, paths| {
+        let t = airtime[i];
+        let dev = net.device(g.src);
+        let tx_pattern = dev.pattern(g.pattern);
+        for path in paths {
+            let ga = g.node.gain_toward(tx_pattern, path.departure);
+            let dbm =
+                net.env.budget.rx_power_dbm(ga, 0.0, path) + dev.tx_power_offset_db + g.boost_db
+                    - net.env.extra_loss_db;
             components.push((path.arrival, db_to_lin(dbm) * t / total_time.max(1e-12)));
         }
-    }
+    });
     angular_profile(n_dirs, |look: Angle| {
         if components.is_empty() {
             return -120.0;
@@ -152,6 +142,37 @@ mod tests {
             profile.has_lobe_toward(exp.toward_rx, 20f64.to_radians(), 1.0, 20.0),
             "no RX lobe"
         );
+    }
+
+    #[test]
+    fn profile_tracks_scripted_source_motion() {
+        // The dock hops from (0, 0) to (0, 4) at 10 ms. Frames sent before
+        // the hop must arrive from the original spot, not from wherever
+        // the dock ended up.
+        let (net, _dock) = crate::replay::scripted_motion_net(&SimCtx::new());
+        let probe = Point::new(1.0, 0.3);
+        let toward = |p: Point| Angle::from_radians((p - probe).angle());
+        let (old_spot, new_spot) = (toward(Point::new(0.0, 0.0)), toward(Point::new(0.0, 4.0)));
+        let level = |profile: &AngularProfile, dir: Angle| {
+            let p = profile
+                .points()
+                .iter()
+                .min_by(|a, b| a.angle.distance(dir).total_cmp(&b.angle.distance(dir)))
+                .expect("points");
+            p.power_dbm - profile.peak_dbm()
+        };
+        let early = measure_profile(&net, probe, 120, SimTime::ZERO, SimTime::from_millis(10));
+        let late = measure_profile(&net, probe, 120, SimTime::from_millis(11), net.now());
+        for (name, profile, here, gone) in [
+            ("before", &early, old_spot, new_spot),
+            ("after", &late, new_spot, old_spot),
+        ] {
+            let (loud, quiet) = (level(profile, here), level(profile, gone));
+            assert!(
+                loud > -10.0 && quiet < -20.0,
+                "{name} the hop: {loud:.1} dB toward the dock's spot, {quiet:.1} dB toward the other"
+            );
+        }
     }
 
     #[test]
