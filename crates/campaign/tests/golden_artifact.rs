@@ -26,7 +26,8 @@ const GOLDEN_REL: &str = "tests/golden/campaign_quick.txt";
 
 /// The frozen matrix: cheap experiments spanning a static protocol trace
 /// (table1, fig03), the WiHD system (fig15), the semicircle beam-pattern
-/// scans (fig16 quasi-omni, fig17 directional), a dynamic fault scenario
+/// scans (fig16 quasi-omni, fig17 directional), the conference-room
+/// rotation scans (fig18 WiGig, fig19 WiHD), a dynamic fault scenario
 /// (dynblock, which exercises the scenario/fault engine counters) and the
 /// dense multi-room floor (enterprise, which exercises the spatial
 /// interference graph and its prune counters).
@@ -37,6 +38,8 @@ fn subset() -> Vec<&'static experiments::Experiment> {
         "fig15",
         "fig16",
         "fig17",
+        "fig18",
+        "fig19",
         "dynblock",
         "enterprise",
     ]
