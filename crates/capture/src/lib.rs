@@ -50,6 +50,6 @@ pub use classify::{split_by_amplitude, AmplitudeClass};
 pub use detect::{
     detect_frames, detect_frames_reference, utilization, DetectedFrame, DetectorConfig,
 };
-pub use scan::{angular_profile, semicircle_scan, AngularProfile, ScanPoint};
+pub use scan::{angular_profile, look_directions, semicircle_scan, AngularProfile, ScanPoint};
 pub use trace::{SampleScratch, SignalTrace, TraceSegment};
 pub use vubiq::VubiqReceiver;

@@ -35,6 +35,17 @@ pub struct AngularProfile {
 }
 
 impl AngularProfile {
+    /// The profile of a rotation scan whose `i`-th look direction (of
+    /// [`look_directions`]`(powers_dbm.len())`) measured `powers_dbm[i]`.
+    pub fn from_powers(powers_dbm: Vec<f64>) -> AngularProfile {
+        let points = look_directions(powers_dbm.len())
+            .into_iter()
+            .zip(powers_dbm)
+            .map(|(angle, power_dbm)| ScanPoint { angle, power_dbm })
+            .collect();
+        AngularProfile { points }
+    }
+
     /// Number of scan points.
     pub fn len(&self) -> usize {
         self.points.len()
@@ -114,18 +125,17 @@ impl AngularProfile {
     }
 }
 
+/// The look directions of an `n`-direction rotation scan, in sweep
+/// order: uniformly spaced over the full circle from azimuth zero.
+pub fn look_directions(n: usize) -> Vec<Angle> {
+    full_circle(n, Angle::ZERO)
+}
+
 /// Run a rotation scan: measure incident power for `n` uniformly spaced
 /// look directions. `measure(look_dir)` returns the average power in dBm
 /// the horn captures when pointed at `look_dir`.
 pub fn angular_profile(n: usize, measure: impl Fn(Angle) -> f64) -> AngularProfile {
-    let points = full_circle(n, Angle::ZERO)
-        .into_iter()
-        .map(|angle| ScanPoint {
-            angle,
-            power_dbm: measure(angle),
-        })
-        .collect();
-    AngularProfile { points }
+    AngularProfile::from_powers(look_directions(n).into_iter().map(measure).collect())
 }
 
 /// Run the paper's semicircle beam-pattern scan: `n` positions on a

@@ -7,22 +7,16 @@
 //! airtime, exactly as the paper's dwell-and-average procedure does.
 
 use crate::replay::TxGroups;
-use mmwave_capture::scan::{angular_profile, AngularProfile};
+use mmwave_capture::scan::{look_directions, AngularProfile};
 use mmwave_geom::{Angle, Point};
 use mmwave_mac::Net;
 use mmwave_phy::{db_to_lin, lin_to_db};
 use mmwave_sim::time::SimTime;
+use std::collections::HashMap;
 
 /// Measure the angular profile at `probe`: for each of `n_dirs` look
 /// directions, the airtime-weighted average incident power of every
-/// logged transmission in the window.
-///
-/// Implementation note: the log is first collapsed into the replay's
-/// transmit-configuration groups ([`TxGroups`]: source, logged pose,
-/// pattern, control boost) — for each, the ray trace (shared by groups
-/// at one position) and the transmit-side gains are computed once, and
-/// only the horn's receive gain varies with the look direction. This
-/// keeps the 6-probe × 120-direction scans of Figs. 18/19 fast.
+/// logged transmission in the window. A one-probe [`measure_profiles`].
 pub fn measure_profile(
     net: &Net,
     probe: Point,
@@ -30,6 +24,30 @@ pub fn measure_profile(
     from: SimTime,
     to: SimTime,
 ) -> AngularProfile {
+    let mut profiles = measure_profiles(net, &[probe], n_dirs, from, to);
+    profiles.pop().expect("one profile per probe")
+}
+
+/// Measure the angular profile at each of `probes` over one window, as
+/// [`measure_profile`] does for a single probe.
+///
+/// Implementation note: the log is collapsed once into the replay's
+/// transmit-configuration groups ([`TxGroups`]: source, logged pose,
+/// pattern, control boost) with their airtime. At each probe, every group
+/// contributes one component per ray-traced path (the trace is shared by
+/// groups at one position): its arrival azimuth and its linear power
+/// *without* the horn gain, scaled by the group's airtime share. The
+/// horn's receive gain depends only on the arrival and the look, so it is
+/// evaluated once per distinct arrival (a row over all looks), and each
+/// look folds `base · row[look]` over the components in order — the same
+/// additions, in the same order, as summing the components look by look.
+pub fn measure_profiles(
+    net: &Net,
+    probes: &[Point],
+    n_dirs: usize,
+    from: SimTime,
+    to: SimTime,
+) -> Vec<AngularProfile> {
     let frames = TxGroups::new(net, net.txlog().in_window(from, to));
     // Airtime per group, summed in log order.
     let mut airtime = vec![0.0; frames.groups().len()];
@@ -37,32 +55,58 @@ pub fn measure_profile(
         airtime[g] += (e.end - e.start).as_secs_f64();
     }
     let total_time: f64 = airtime.iter().sum();
-    // Per group: (arrival azimuth, linear power *without* the horn gain)
-    // for every path, scaled by the group's airtime share.
-    let mut components: Vec<(Angle, f64)> = Vec::new();
     let horn = mmwave_phy::horn_25dbi();
-    frames.trace_to(probe, |i, g, paths| {
-        let t = airtime[i];
-        let dev = net.device(g.src);
-        let tx_pattern = dev.pattern(g.pattern);
-        for path in paths {
-            let ga = g.node.gain_toward(tx_pattern, path.departure);
-            let dbm =
-                net.env.budget.rx_power_dbm(ga, 0.0, path) + dev.tx_power_offset_db + g.boost_db
-                    - net.env.extra_loss_db;
-            components.push((path.arrival, db_to_lin(dbm) * t / total_time.max(1e-12)));
-        }
-    });
-    angular_profile(n_dirs, |look: Angle| {
-        if components.is_empty() {
-            return -120.0;
-        }
-        let lin: f64 = components
-            .iter()
-            .map(|(arrival, base)| base * db_to_lin(horn.gain_dbi(arrival.diff(look))))
-            .sum();
-        lin_to_db(lin)
-    })
+    let looks = look_directions(n_dirs);
+    // Per probe; reused across probes.
+    let mut components: Vec<(Angle, f64)> = Vec::new();
+    // Linear horn gain toward every look, one row of `n_dirs` per
+    // distinct arrival, indexed by the arrival's bits.
+    let mut rows: Vec<f64> = Vec::new();
+    let mut row_of: HashMap<u64, usize> = HashMap::new();
+    let mut lin = vec![0.0; n_dirs];
+    probes
+        .iter()
+        .map(|&probe| {
+            components.clear();
+            frames.trace_to(probe, |i, g, paths| {
+                let t = airtime[i];
+                let dev = net.device(g.src);
+                let tx_pattern = dev.pattern(g.pattern);
+                for path in paths {
+                    let ga = g.node.gain_toward(tx_pattern, path.departure);
+                    let dbm = net.env.budget.rx_power_dbm(ga, 0.0, path)
+                        + dev.tx_power_offset_db
+                        + g.boost_db
+                        - net.env.extra_loss_db;
+                    components.push((path.arrival, db_to_lin(dbm) * t / total_time.max(1e-12)));
+                }
+            });
+            if components.is_empty() {
+                return AngularProfile::from_powers(vec![-120.0; n_dirs]);
+            }
+            rows.clear();
+            row_of.clear();
+            // `f64::sum` starts from −0.0.
+            lin.fill(-0.0);
+            for &(arrival, base) in &components {
+                let r = *row_of
+                    .entry(arrival.radians().to_bits())
+                    .or_insert_with(|| {
+                        rows.extend(
+                            looks
+                                .iter()
+                                .map(|&look| db_to_lin(horn.gain_dbi(arrival.diff(look)))),
+                        );
+                        rows.len() / n_dirs - 1
+                    });
+                let row = &rows[r * n_dirs..(r + 1) * n_dirs];
+                for (acc, gain) in lin.iter_mut().zip(row) {
+                    *acc += base * gain;
+                }
+            }
+            AngularProfile::from_powers(lin.iter().map(|&l| lin_to_db(l)).collect())
+        })
+        .collect()
 }
 
 /// Attribution helpers: expected arrival directions at a probe.

@@ -15,7 +15,7 @@
 //!   reflections").
 
 use mmwave_core::analysis::reflections::{
-    expected_directions, measure_profile, unattributed_lobes,
+    expected_directions, measure_profiles, unattributed_lobes,
 };
 use mmwave_core::report;
 use mmwave_core::scenarios::{self, point_to_point, RoomSystem};
@@ -197,8 +197,9 @@ fn ablate_reflection_order() {
         }
         let mut lobes = 0usize;
         let mut deep_lobes = 0usize;
-        for (_, pos) in r.layout.probes {
-            let profile = measure_profile(&r.net, pos, 120, SimTime::ZERO, r.net.now());
+        let positions = r.layout.probes.map(|(_, pos)| pos);
+        let profiles = measure_profiles(&r.net, &positions, 120, SimTime::ZERO, r.net.now());
+        for (pos, profile) in positions.into_iter().zip(profiles) {
             let exp = expected_directions(&r.net, pos, r.tx, r.rx);
             lobes += unattributed_lobes(&profile, &exp, 16f64.to_radians(), 1.0, 12.0).len();
             deep_lobes += unattributed_lobes(&profile, &exp, 16f64.to_radians(), 0.5, 22.0).len();
